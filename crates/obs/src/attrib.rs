@@ -404,15 +404,27 @@ impl PageStats {
         } else {
             c.reads += 1;
         }
-        let granule = if page_bytes == 0 {
-            0
-        } else {
-            ((offset as u64 * GRANULES as u64) / page_bytes as u64).min(GRANULES as u64 - 1)
-        };
-        let bit = 1u128 << granule;
+        let bit = 1u128 << granule(offset, page_bytes);
         c.touched |= bit;
         c.cur_mask |= bit;
     }
+}
+
+/// The footprint granule of byte `offset` on a `page_bytes` page:
+/// `offset × GRANULES / page_bytes`, clamped to the last granule.
+///
+/// Page sizes are powers of two ([`vmp_types::PageSize`] enforces it),
+/// so the division is a shift; any other size takes the division.
+fn granule(offset: u32, page_bytes: u32) -> u32 {
+    let scaled = u64::from(offset) * u64::from(GRANULES);
+    let g = if page_bytes.is_power_of_two() {
+        scaled >> page_bytes.trailing_zeros()
+    } else if page_bytes == 0 {
+        0
+    } else {
+        scaled / u64::from(page_bytes)
+    };
+    g.min(u64::from(GRANULES - 1)) as u32
 }
 
 /// Table-wide headline numbers.
@@ -436,6 +448,22 @@ pub struct AttribSummary {
     pub unattributed: u64,
 }
 
+/// Entries in each CPU's page-id memo (a power of two). 256 entries
+/// (6 KB) hold the hot pages of an ATUM-like trace at 256 B pages.
+const MEMO: usize = 256;
+
+/// Stands for "page id not known yet": no page is ever given it.
+const NO_PAGE: u32 = u32::MAX;
+
+/// A page key and its page id (or [`NO_PAGE`]). A memo entry stores
+/// the key it caches, so a hit is checked, never assumed; a frame's
+/// entry learns its id on the frame's first tracked transaction.
+#[derive(Debug, Clone, Copy)]
+struct KeyId {
+    key: PageKey,
+    id: u32,
+}
+
 /// The contention attribution table.
 ///
 /// Owned by [`MachineObs`](crate::MachineObs) when
@@ -451,10 +479,24 @@ pub struct AttribSummary {
 /// When two address spaces map the same frame the most recent
 /// resolution wins, so shared-frame traffic is attributed to the last
 /// space that faulted it in.
+///
+/// Storage is dense, because the machine consults the table on every
+/// word access. Each page gets a `u32` id when first seen; its record
+/// lives at that index of a vector, and an ordered key → id index
+/// serves [`AttribTable::pages`] in key order. The frame map is a
+/// vector indexed by frame number, so it grows to the largest frame
+/// mapped (the machine's frames are bounded by its memory size). In
+/// front of the index, each CPU has a small direct-mapped memo from
+/// key to id, indexed by the low bits of the virtual page number, so a
+/// repeat access to a recent page costs one compare.
 #[derive(Debug, Clone)]
 pub struct AttribTable {
-    pages: BTreeMap<PageKey, PageStats>,
-    frames: BTreeMap<FrameNum, PageKey>,
+    stats: Vec<PageStats>,
+    index: BTreeMap<PageKey, u32>,
+    /// Indexed by frame number.
+    frames: Vec<Option<KeyId>>,
+    /// `MEMO` entries per CPU track, CPU-major.
+    memo: Vec<KeyId>,
     unattributed: [u64; 4],
     unattributed_aborts: [u64; 4],
     window: Nanos,
@@ -466,14 +508,35 @@ impl AttribTable {
     /// Creates an empty table for `cpus` processor tracks.
     pub fn new(window: Nanos, ring_cap: usize, cpus: usize) -> Self {
         AttribTable {
-            pages: BTreeMap::new(),
-            frames: BTreeMap::new(),
+            stats: Vec::new(),
+            index: BTreeMap::new(),
+            frames: Vec::new(),
+            memo: vec![
+                KeyId {
+                    key: PageKey { asid: Asid::new(0), vpn: VirtPageNum::new(0) },
+                    id: NO_PAGE
+                };
+                cpus * MEMO
+            ],
             unattributed: [0; 4],
             unattributed_aborts: [0; 4],
             window,
             ring_cap,
             cpus,
         }
+    }
+
+    /// The id of `key`'s page, creating the page on first sight.
+    fn page_id(&mut self, key: PageKey) -> u32 {
+        let (stats, cpus, ring_cap) = (&mut self.stats, self.cpus, self.ring_cap);
+        *self.index.entry(key).or_insert_with(|| {
+            let id = u32::try_from(stats.len())
+                .ok()
+                .filter(|&id| id != NO_PAGE)
+                .expect("fewer than 2^32 - 1 attributed pages");
+            stats.push(PageStats::new(cpus, ring_cap));
+            id
+        })
     }
 
     /// The ping-pong window: consecutive ownership transfers at most
@@ -488,13 +551,24 @@ impl AttribTable {
     }
 
     /// Records that `frame` currently backs ⟨`asid`, `vpn`⟩.
+    ///
+    /// The frame map is a vector that grows to cover `frame`, so frame
+    /// numbers are expected to stay within the machine's memory.
     pub fn map_frame(&mut self, frame: FrameNum, asid: Asid, vpn: VirtPageNum) {
-        self.frames.insert(frame, PageKey { asid, vpn });
+        let i = frame.raw() as usize;
+        if i >= self.frames.len() {
+            self.frames.resize(i + 1, None);
+        }
+        self.frames[i] = Some(KeyId { key: PageKey { asid, vpn }, id: NO_PAGE });
     }
 
     /// The key a frame is currently attributed to.
     pub fn frame_key(&self, frame: FrameNum) -> Option<PageKey> {
-        self.frames.get(&frame).copied()
+        self.frame_entry(frame).map(|e| e.key)
+    }
+
+    fn frame_entry(&self, frame: FrameNum) -> Option<KeyId> {
+        self.frames.get(frame.raw() as usize).copied().flatten()
     }
 
     /// Accounts one arbitrated bus transaction (completed or aborted).
@@ -511,7 +585,7 @@ impl AttribTable {
         at: Nanos,
     ) {
         let Some(class) = TxClass::from_kind(kind) else { return };
-        let Some(key) = self.frames.get(&frame).copied() else {
+        let Some(mut entry) = self.frame_entry(frame) else {
             if aborted {
                 self.unattributed_aborts[class.index()] += 1;
             } else {
@@ -519,13 +593,12 @@ impl AttribTable {
             }
             return;
         };
-        let cpus = self.cpus;
-        let ring_cap = self.ring_cap;
+        if entry.id == NO_PAGE {
+            entry.id = self.page_id(entry.key);
+            self.frames[frame.raw() as usize] = Some(entry);
+        }
         let window = self.window;
-        self.pages
-            .entry(key)
-            .or_insert_with(|| PageStats::new(cpus, ring_cap))
-            .record_tx(issuer, class, aborted, at, window);
+        self.stats[entry.id as usize].record_tx(issuer, class, aborted, at, window);
     }
 
     /// Accounts one word access by a CPU, updating its sub-page tenure
@@ -539,39 +612,43 @@ impl AttribTable {
         page_bytes: u32,
         write: bool,
     ) {
-        let cpus = self.cpus;
-        let ring_cap = self.ring_cap;
-        self.pages
-            .entry(PageKey { asid, vpn })
-            .or_insert_with(|| PageStats::new(cpus, ring_cap))
-            .record_touch(cpu, offset, page_bytes, write);
+        // Through the CPU's memo; a CPU without a track goes straight to
+        // the index.
+        let key = PageKey { asid, vpn };
+        let slot = cpu * MEMO + (vpn.raw() as usize & (MEMO - 1));
+        let id = match self.memo.get(slot) {
+            Some(e) if e.id != NO_PAGE && e.key == key => e.id,
+            Some(_) => {
+                let id = self.page_id(key);
+                self.memo[slot] = KeyId { key, id };
+                id
+            }
+            None => self.page_id(key),
+        };
+        self.stats[id as usize].record_touch(cpu, offset, page_bytes, write);
     }
 
     /// Attributes one completed miss/upgrade service to a page.
     pub fn record_service(&mut self, asid: Asid, vpn: VirtPageNum, dur: Nanos) {
-        let cpus = self.cpus;
-        let ring_cap = self.ring_cap;
-        let p = self
-            .pages
-            .entry(PageKey { asid, vpn })
-            .or_insert_with(|| PageStats::new(cpus, ring_cap));
+        let id = self.page_id(PageKey { asid, vpn });
+        let p = &mut self.stats[id as usize];
         p.service += dur;
         p.serviced += 1;
     }
 
     /// The accounting record for one page, if any activity was seen.
     pub fn page(&self, key: PageKey) -> Option<&PageStats> {
-        self.pages.get(&key)
+        self.index.get(&key).map(|&id| &self.stats[id as usize])
     }
 
     /// All pages, in key order (deterministic).
     pub fn pages(&self) -> impl Iterator<Item = (PageKey, &PageStats)> + '_ {
-        self.pages.iter().map(|(k, v)| (*k, v))
+        self.index.iter().map(|(k, &id)| (*k, &self.stats[id as usize]))
     }
 
     /// Number of distinct pages with accounted activity.
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.stats.len()
     }
 
     /// The `n` hottest pages by tracked bus traffic, ties broken by key
@@ -587,7 +664,7 @@ impl AttribTable {
     /// the unattributed bucket — equals the bus's own per-kind counter.
     pub fn class_total(&self, class: TxClass) -> u64 {
         self.unattributed[class.index()]
-            + self.pages.values().map(|p| p.counts[class.index()]).sum::<u64>()
+            + self.stats.iter().map(|p| p.counts[class.index()]).sum::<u64>()
     }
 
     /// Aborted tracked transactions of one class, across pages and the
@@ -609,17 +686,17 @@ impl AttribTable {
     /// four tracked kinds.
     pub fn abort_total(&self) -> u64 {
         self.unattributed_aborts.iter().sum::<u64>()
-            + self.pages.values().map(|p| p.aborts).sum::<u64>()
+            + self.stats.iter().map(|p| p.aborts).sum::<u64>()
     }
 
     /// Table-wide headline numbers.
     pub fn summary(&self) -> AttribSummary {
         let mut s = AttribSummary {
-            pages: self.pages.len() as u64,
+            pages: self.stats.len() as u64,
             unattributed: self.unattributed.iter().sum(),
             ..AttribSummary::default()
         };
-        for p in self.pages.values() {
+        for p in self.stats.iter() {
             s.transfers += p.transfers;
             s.episodes += p.episodes;
             s.bounces += p.bounces;
@@ -899,6 +976,154 @@ mod tests {
         assert_eq!(pages[0].get("verdict").unwrap().as_str(), Some("ping-pong"));
         assert_eq!(pages[0].get("cpus").unwrap().as_arr().unwrap().len(), 2);
         assert_eq!(doc.get("pages_omitted").unwrap().as_u64(), Some(0));
+    }
+
+    #[test]
+    fn remapped_frame_sends_later_transactions_to_the_new_page() {
+        let mut t = mapped_table();
+        let f = FrameNum::new(7);
+        let (old_asid, old_vpn) = key(1, 4);
+        let (new_asid, new_vpn) = key(2, 9);
+        t.record_tx(f, 0, BusTxKind::ReadShared, false, Nanos::ZERO);
+        t.map_frame(f, new_asid, new_vpn);
+        assert_eq!(t.frame_key(f), Some(PageKey { asid: new_asid, vpn: new_vpn }));
+        t.record_tx(f, 1, BusTxKind::WriteBack, false, Nanos::ZERO);
+        t.record_tx(f, 1, BusTxKind::WriteBack, false, Nanos::ZERO);
+        let old = t.page(PageKey { asid: old_asid, vpn: old_vpn }).unwrap();
+        assert_eq!(old.traffic(), 1);
+        assert_eq!(old.count(TxClass::ReadShared), 1);
+        let new = t.page(PageKey { asid: new_asid, vpn: new_vpn }).unwrap();
+        assert_eq!(new.traffic(), 2);
+        assert_eq!(new.cpu_count(1, TxClass::WriteBack), 2);
+        // Mapping back finds the old page again rather than a new one.
+        t.map_frame(f, old_asid, old_vpn);
+        t.record_tx(f, 0, BusTxKind::ReadShared, false, Nanos::ZERO);
+        assert_eq!(t.page(PageKey { asid: old_asid, vpn: old_vpn }).unwrap().traffic(), 2);
+        assert_eq!(t.page_count(), 2);
+    }
+
+    #[test]
+    fn pages_iterate_in_key_order_whatever_the_order_seen() {
+        let mut t = table();
+        let seen = [(2, 5), (1, 900), (2, 1), (0, 7), (1, 3), (0, 7), (2, 5)];
+        for (i, &(asid, vpn)) in seen.iter().enumerate() {
+            let (asid, vpn) = key(asid, vpn);
+            t.record_touch(asid, vpn, i % 2, 0, 256, false);
+        }
+        let keys: Vec<(u8, u64)> = t.pages().map(|(k, _)| (k.asid.raw(), k.vpn.raw())).collect();
+        assert_eq!(keys, vec![(0, 7), (1, 3), (1, 900), (2, 1), (2, 5)]);
+        assert_eq!(t.page_count(), 5);
+        let (asid, vpn) = key(2, 5);
+        assert_eq!(t.page(PageKey { asid, vpn }).unwrap().cpu_accesses(0), (2, 0));
+    }
+
+    #[test]
+    fn keys_sharing_a_memo_entry_keep_their_own_pages() {
+        let mut t = table();
+        // vpns MEMO apart, and the same vpn under another ASID, all fall
+        // on one memo entry of CPU 0.
+        let keys = [key(1, 3), key(1, 3 + MEMO as u64), key(2, 3)];
+        for round in 0..5 {
+            for (i, &(asid, vpn)) in keys.iter().enumerate() {
+                t.record_touch(asid, vpn, 0, 4 * i as u32, 128, round % 2 == 0);
+            }
+        }
+        assert_eq!(t.page_count(), 3);
+        for (i, &(asid, vpn)) in keys.iter().enumerate() {
+            let p = t.page(PageKey { asid, vpn }).unwrap();
+            assert_eq!(p.cpu_accesses(0), (2, 3), "page {i}");
+            assert_eq!(p.cpu_footprint(0), 1u128 << (4 * i), "page {i}");
+            assert_eq!(p.cpu_accesses(1), (0, 0));
+        }
+    }
+
+    #[test]
+    fn dense_table_matches_a_naive_count_under_memo_collisions() {
+        // 72 keys on 3 memo entries per CPU, three CPUs, frames remapped
+        // at random: every access and transaction lands on its own key.
+        let mut t = AttribTable::new(Nanos::from_us(100), 4, 3);
+        let mut touches: BTreeMap<(PageKey, usize), (u64, u64)> = BTreeMap::new();
+        let mut txs: BTreeMap<PageKey, u64> = BTreeMap::new();
+        let mut frames: BTreeMap<u64, PageKey> = BTreeMap::new();
+        let mut unattributed = 0;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let vpn = (x >> 8) % 8 * MEMO as u64 + (x >> 16) % 3;
+            let k = PageKey { asid: Asid::new((x % 3) as u8), vpn: VirtPageNum::new(vpn) };
+            let cpu = (x >> 24) as usize % 3;
+            let frame = (x >> 40) % 16;
+            match (x >> 32) % 4 {
+                0 => {
+                    t.map_frame(FrameNum::new(frame), k.asid, k.vpn);
+                    frames.insert(frame, k);
+                }
+                1 => {
+                    t.record_tx(
+                        FrameNum::new(frame),
+                        cpu,
+                        BusTxKind::ReadShared,
+                        false,
+                        Nanos::ZERO,
+                    );
+                    match frames.get(&frame) {
+                        Some(k) => *txs.entry(*k).or_default() += 1,
+                        None => unattributed += 1,
+                    }
+                }
+                _ => {
+                    let write = (x >> 48) & 1 == 1;
+                    t.record_touch(k.asid, k.vpn, cpu, 0, 256, write);
+                    let e = touches.entry((k, cpu)).or_default();
+                    if write {
+                        e.1 += 1;
+                    } else {
+                        e.0 += 1;
+                    }
+                }
+            }
+        }
+        for (&(k, cpu), &acc) in &touches {
+            assert_eq!(t.page(k).unwrap().cpu_accesses(cpu), acc);
+        }
+        for (&k, &n) in &txs {
+            assert_eq!(t.page(k).unwrap().count(TxClass::ReadShared), n);
+        }
+        assert_eq!(t.unattributed(TxClass::ReadShared), unattributed);
+        let mut seen: Vec<PageKey> =
+            touches.keys().map(|k| k.0).chain(txs.keys().copied()).collect();
+        seen.sort();
+        seen.dedup();
+        assert_eq!(t.pages().map(|(k, _)| k).collect::<Vec<_>>(), seen);
+    }
+
+    #[test]
+    fn map_frame_alone_creates_no_page() {
+        let mut t = table();
+        let (asid, vpn) = key(3, 11);
+        t.map_frame(FrameNum::new(100_000), asid, vpn);
+        assert_eq!(t.page_count(), 0);
+        assert_eq!(t.pages().count(), 0);
+        assert_eq!(t.frame_key(FrameNum::new(100_000)), Some(PageKey { asid, vpn }));
+        assert_eq!(t.frame_key(FrameNum::new(99_999)), None);
+        assert_eq!(t.frame_key(FrameNum::new(u64::MAX)), None);
+        assert_eq!(t.summary(), AttribSummary::default());
+    }
+
+    #[test]
+    fn shift_granule_equals_the_division() {
+        for page_bytes in [4u32, 128, 256, 512] {
+            for offset in (0..page_bytes).step_by(4) {
+                let old = (offset as u64 * GRANULES as u64 / page_bytes as u64)
+                    .min(GRANULES as u64 - 1) as u32;
+                assert_eq!(granule(offset, page_bytes), old, "offset {offset} of {page_bytes}");
+            }
+        }
+        // Sizes that are not powers of two still divide.
+        assert_eq!(granule(150, 300), 64);
+        assert_eq!(granule(5, 0), 0);
     }
 
     #[test]

@@ -376,12 +376,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one whole UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Consume the whole run up to the next quote or
+                    // backslash. Both are ASCII, which never occurs
+                    // inside a multi-byte UTF-8 sequence, so the run
+                    // ends on a character boundary.
+                    let start = self.pos;
+                    let rest = &self.bytes[start..];
+                    self.pos +=
+                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| JsonError { pos: start, msg: "invalid utf-8" })?;
+                    out.push_str(run);
                 }
             }
         }
@@ -455,6 +460,19 @@ mod tests {
     fn escapes_roundtrip() {
         let v = Value::Str("quote \" slash \\ newline \n tab \t ctrl \u{1}".into());
         let back = parse(&v.to_string()).unwrap();
+        assert_eq!(back, v);
+    }
+
+    #[test]
+    fn long_multibyte_string_roundtrips() {
+        // Long enough that a parser re-scanning the rest of the input per
+        // character would take minutes, not milliseconds.
+        let unit = "plain é → 😀 \"q\" \\ \n\t\u{1} ";
+        let s = unit.repeat(100_000 / unit.chars().count() + 1);
+        assert!(s.chars().count() >= 100_000);
+        let v = Value::obj().set("s", s.as_str()).set("after", 1u64);
+        let back = parse(&v.to_string()).unwrap();
+        assert_eq!(back.get("s").unwrap().as_str(), Some(s.as_str()));
         assert_eq!(back, v);
     }
 

@@ -33,8 +33,10 @@ pub struct ObsConfig {
     /// efficiency time-series.
     pub window: Nanos,
     /// Whether to also build the per-page contention attribution table
-    /// ([`AttribTable`]). Off by default: attribution costs a map
-    /// lookup per tracked bus transaction and per word access.
+    /// ([`AttribTable`]). Off by default: attribution costs a
+    /// frame-indexed lookup per tracked bus transaction and, per word
+    /// access, a probe of a small per-CPU memo in front of the ordered
+    /// page index (DESIGN.md §10 has the measured cost).
     pub attrib: bool,
     /// Ping-pong window: consecutive ownership transfers of a page at
     /// most this far apart chain into one episode.
